@@ -657,7 +657,8 @@ pub struct RecoveryTierRow {
     /// image (for log organizations, the segment-scanning reconstruct),
     /// slowest shard, seconds.
     pub disk_restore_s: f64,
-    /// Disk path: wall time replaying the trace tail, slowest shard.
+    /// Disk path: wall time moving the trace to the restored tick and
+    /// replaying the tail from there, slowest shard.
     pub disk_replay_s: f64,
     /// Disk path: total recovery wall time, slowest shard (shards
     /// recover in parallel, so the slowest one is the world figure).
@@ -665,7 +666,8 @@ pub struct RecoveryTierRow {
     /// Replica path: wall time fetching + installing the mirror image
     /// (a memcpy from peer memory), slowest shard.
     pub replica_restore_s: f64,
-    /// Replica path: wall time replaying the trace tail, slowest shard.
+    /// Replica path: wall time moving the trace to the restored tick and
+    /// replaying the tail from there, slowest shard.
     pub replica_replay_s: f64,
     /// Replica path: total recovery wall time, slowest shard.
     pub replica_total_s: f64,
@@ -809,11 +811,11 @@ pub fn recovery_tiers(ticks: u64, scratch: &Path) -> io::Result<Vec<RecoveryTier
                     && via.table.fingerprint() == truth.fingerprint();
 
                 row.disk_restore_s = row.disk_restore_s.max(disk.restore_s);
-                row.disk_replay_s = row.disk_replay_s.max(disk.replay_s);
-                row.disk_total_s = row.disk_total_s.max(disk.restore_s + disk.replay_s);
+                row.disk_replay_s = row.disk_replay_s.max(disk.skip_s + disk.replay_s);
+                row.disk_total_s = row.disk_total_s.max(disk.total_s());
                 row.replica_restore_s = row.replica_restore_s.max(via.restore_s);
-                row.replica_replay_s = row.replica_replay_s.max(via.replay_s);
-                row.replica_total_s = row.replica_total_s.max(via.restore_s + via.replay_s);
+                row.replica_replay_s = row.replica_replay_s.max(via.skip_s + via.replay_s);
+                row.replica_total_s = row.replica_total_s.max(via.total_s());
             }
             row.speedup = if row.replica_restore_s > 0.0 {
                 row.disk_restore_s / row.replica_restore_s

@@ -351,6 +351,12 @@ impl<S: TraceSource> TraceSource for ShardFilter<S> {
         true
     }
 
+    /// Skipping the global trace skips every shard's slice of it, so
+    /// the inner source's own (possibly O(1)) skip serves the filter.
+    fn skip_ticks(&mut self, n: u64) -> u64 {
+        self.inner.skip_ticks(n)
+    }
+
     fn total_ticks(&self) -> Option<u64> {
         self.inner.total_ticks()
     }

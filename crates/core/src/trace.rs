@@ -24,6 +24,23 @@ pub trait TraceSource {
     /// A tick with zero updates returns `true` with an empty buffer.
     fn next_tick(&mut self, buf: &mut Vec<CellUpdate>) -> bool;
 
+    /// Advance past the next `n` ticks without yielding them; returns
+    /// how many were skipped (`min(n, remaining)`).
+    ///
+    /// Afterwards the source yields exactly what it would have yielded
+    /// after `n` calls to [`TraceSource::next_tick`]. The default makes
+    /// those calls; sources that can seek (an indexed trace file, an
+    /// in-memory trace) override it in O(1). Recovery uses it to jump
+    /// to the restored checkpoint's tick.
+    fn skip_ticks(&mut self, n: u64) -> u64 {
+        let mut buf = Vec::new();
+        let mut skipped = 0;
+        while skipped < n && self.next_tick(&mut buf) {
+            skipped += 1;
+        }
+        skipped
+    }
+
     /// Total number of ticks, if known in advance.
     fn total_ticks(&self) -> Option<u64> {
         None

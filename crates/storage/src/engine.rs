@@ -635,8 +635,9 @@ pub(crate) fn measure_recovery<S: TraceSource>(
     };
     Ok(RecoveryMeasurement {
         restore_s: rec.restore_s,
+        skip_s: rec.skip_s,
         replay_s: rec.replay_s,
-        total_s: rec.restore_s + rec.replay_s,
+        total_s: rec.total_s(),
         restored_from_tick: rec.from_tick,
         ticks_replayed: rec.ticks_replayed,
         updates_replayed: rec.updates_replayed,
@@ -669,8 +670,9 @@ pub(crate) fn measure_recovery_tiered<S: TraceSource>(
             let rec = rec?;
             return Ok(RecoveryMeasurement {
                 restore_s: rec.restore_s,
+                skip_s: rec.skip_s,
                 replay_s: rec.replay_s,
-                total_s: rec.restore_s + rec.replay_s,
+                total_s: rec.total_s(),
                 restored_from_tick: rec.from_tick,
                 ticks_replayed: rec.ticks_replayed,
                 updates_replayed: rec.updates_replayed,
@@ -693,6 +695,7 @@ pub(crate) fn measure_recovery_tiered<S: TraceSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crash::{CrashPoint, CrashState};
     use mmoc_workload::SyntheticConfig;
 
     fn config(dir: &std::path::Path) -> RealConfig {
@@ -786,6 +789,49 @@ mod tests {
         }
     }
 
+    /// A hot trace that will not end before the run has begun its
+    /// second checkpoint. The driver begins checkpoint 2 only after it
+    /// harvests checkpoint 1, and drains it before the run returns, so
+    /// the run completes at least two checkpoints however slowly the
+    /// writer goes. Past `min_ticks` it keeps yielding hot ticks, one
+    /// per millisecond, until the second job is enqueued (or the inner
+    /// trace runs out, which fails the caller's assertion). The first
+    /// instance to stop fixes the length in `end`, so the recovery
+    /// replay (a later instance) yields the same ticks.
+    struct UntilSecondCheckpoint {
+        inner: mmoc_workload::ZipfTrace,
+        tick: u64,
+        min_ticks: u64,
+        crash: Arc<CrashState>,
+        end: Arc<AtomicU64>,
+    }
+
+    impl TraceSource for UntilSecondCheckpoint {
+        fn geometry(&self) -> StateGeometry {
+            self.inner.geometry()
+        }
+
+        fn next_tick(&mut self, buf: &mut Vec<mmoc_core::CellUpdate>) -> bool {
+            buf.clear();
+            let mut end = self.end.load(Ordering::SeqCst);
+            if end == u64::MAX
+                && self.tick >= self.min_ticks
+                && self.crash.reach_count(CrashPoint::JobEnqueued) >= 2
+            {
+                end = self.tick;
+                self.end.store(end, Ordering::SeqCst);
+            }
+            if self.tick >= end {
+                return false;
+            }
+            if self.tick >= self.min_ticks {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            self.tick += 1;
+            self.inner.next_tick(buf)
+        }
+    }
+
     /// Torture the mutator/writer protocol: a hot workload where the same
     /// objects are updated every tick while the writer flushes.
     #[test]
@@ -798,12 +844,25 @@ mod tests {
             let dir = tempfile::tempdir().unwrap();
             let cfg = SyntheticConfig {
                 geometry: StateGeometry::test_hot(), // tiny: everything is hot
-                ticks: 200,
+                // 200 ticks, then up to 10 s more while checkpoint 1
+                // is in flight.
+                ticks: 200 + 10_000,
                 updates_per_tick: 500,
                 skew: 0.99,
                 seed: 5,
             };
-            let report = run_single(alg, &config(dir.path()), || cfg.build()).unwrap();
+            // Disarmed: it only counts the jobs the driver enqueues.
+            let crash = Arc::new(CrashState::tracking());
+            let end = Arc::new(AtomicU64::new(u64::MAX));
+            let config = config(dir.path()).with_crash_state(Arc::clone(&crash));
+            let report = run_single(alg, &config, || UntilSecondCheckpoint {
+                inner: cfg.build(),
+                tick: 0,
+                min_ticks: 200,
+                crash: Arc::clone(&crash),
+                end: Arc::clone(&end),
+            })
+            .unwrap();
             let rec = report.recovery.expect("recovery measured");
             assert!(rec.state_matches, "{alg}: hot-contention recovery diverged");
             assert!(report.checkpoints_completed > 1, "{alg}");

@@ -8,10 +8,14 @@ use serde::{Deserialize, Serialize};
 pub struct RecoveryMeasurement {
     /// Time to read and install the newest consistent backup, in seconds.
     pub restore_s: f64,
+    /// Time to move the update stream to the checkpoint tick, in
+    /// seconds (O(1) on indexed trace files; see
+    /// [`crate::recovery::RecoveredState::skip_s`]).
+    pub skip_s: f64,
     /// Time to replay the update stream from the checkpoint tick to the
     /// crash tick, in seconds.
     pub replay_s: f64,
-    /// Total recovery time (restore + replay).
+    /// Total recovery time (restore + skip + replay).
     pub total_s: f64,
     /// Tick the restored backup was consistent as of.
     pub restored_from_tick: u64,

@@ -148,7 +148,9 @@ fn shard_report(shard: u32, r: &RealReport) -> ShardReport {
 fn recovery_report(m: RecoveryMeasurement) -> RecoveryReport {
     RecoveryReport {
         restore_s: m.restore_s,
-        replay_s: m.replay_s,
+        // Everything after the restore: the skip to the restored tick
+        // and the replay from there.
+        replay_s: m.skip_s + m.replay_s,
         total_s: m.total_s,
         measured: true,
         restored_from_tick: Some(m.restored_from_tick),

@@ -174,6 +174,13 @@ mod tests {
         assert_eq!(gen.total_ticks(), Some(5));
     }
 
+    /// The generator keeps the default skip (a `next_tick` loop): its
+    /// rejection sampling cannot jump ahead without changing the stream.
+    #[test]
+    fn default_skip_matches_stepping() {
+        crate::trace::assert_skip_equivalent(|| small_config().build());
+    }
+
     #[test]
     fn updates_are_in_bounds() {
         let mut gen = small_config().build();

@@ -96,8 +96,54 @@ impl TraceSource for RecordedReplay<'_> {
         }
     }
 
+    fn skip_ticks(&mut self, n: u64) -> u64 {
+        let remaining = (self.trace.ticks.len() - self.next) as u64;
+        let skipped = n.min(remaining);
+        // `skipped <= remaining`, which came from a `usize`.
+        self.next += skipped as usize;
+        skipped
+    }
+
     fn total_ticks(&self) -> Option<u64> {
         Some(self.trace.n_ticks())
+    }
+}
+
+/// Check [`TraceSource::skip_ticks`] against the `next_tick` loop it
+/// stands for: from a few starting positions and for every `k` in
+/// `0..=n + 2`, skipping `k` ticks then draining yields what `k` calls
+/// to `next_tick` then draining yield, and the skip returns
+/// `min(k, remaining)`. `make` returns a fresh source each call.
+#[cfg(test)]
+pub(crate) fn assert_skip_equivalent<S: TraceSource>(mut make: impl FnMut() -> S) {
+    fn drain<S: TraceSource>(src: &mut S) -> Vec<Vec<CellUpdate>> {
+        let mut out = Vec::new();
+        let mut buf = Vec::new();
+        while src.next_tick(&mut buf) {
+            out.push(buf.clone());
+        }
+        out
+    }
+    let n = drain(&mut make()).len() as u64;
+    let mut buf = Vec::new();
+    for pre in [0, 1, n / 2] {
+        for k in 0..=n + 2 {
+            let (mut skipped, mut stepped) = (make(), make());
+            for _ in 0..pre {
+                skipped.next_tick(&mut buf);
+                stepped.next_tick(&mut buf);
+            }
+            let got = skipped.skip_ticks(k);
+            for _ in 0..k {
+                stepped.next_tick(&mut buf);
+            }
+            assert_eq!(got, k.min(n.saturating_sub(pre)), "after {pre}, skip {k}");
+            assert_eq!(
+                drain(&mut skipped),
+                drain(&mut stepped),
+                "after {pre}, skip {k}"
+            );
+        }
     }
 }
 
@@ -158,6 +204,12 @@ mod tests {
         assert_eq!(recorded, t);
         assert_eq!(recorded.total_updates(), 3);
         assert_eq!(recorded.n_ticks(), 3);
+    }
+
+    #[test]
+    fn skip_is_a_cursor_bump() {
+        let t = trace();
+        assert_skip_equivalent(|| t.replay());
     }
 
     #[test]
